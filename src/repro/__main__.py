@@ -4,13 +4,12 @@
     python -m repro lint --all                # static netlist analyzer
     python -m repro perf diff a.json b.json   # perf snapshots & gates
     python -m repro search report runs/...    # search-state observatory
+    python -m repro coverage report runs/...  # coverage observatory
     python -m repro fault-analysis dk16.ji.sd # static fault analyzer
-    python -m repro service serve --store ... # ATPG-as-a-service daemon
 
 Each command delegates, arguments untouched, to the matching
 subsystem CLI (``repro.harness``, ``repro.lint``, ``repro.obs.perf``,
-``repro.obs.search``, ``repro.obs.coverage``, ``repro.fault.analysis``,
-``repro.service``).
+``repro.obs.search``, ``repro.obs.coverage``, ``repro.fault.analysis``).
 The per-subsystem ``python -m`` spellings keep working but print a
 one-line pointer here.
 """
@@ -34,10 +33,6 @@ COMMANDS = {
     "fault-analysis": (
         "repro.fault.analysis.__main__",
         "static fault analyzer (collapse/dominance/untestable)",
-    ),
-    "service": (
-        "repro.service.__main__",
-        "result-cache daemon and client (ATPG as a service)",
     ),
 }
 

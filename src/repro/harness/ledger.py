@@ -74,7 +74,7 @@ import os
 import resource
 import time
 import uuid
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..lint.gate import _SUMMARY_DETAIL_LIMIT, LintLedger
 from ..lint.severity import Severity
@@ -192,6 +192,36 @@ def terminate_torn_tail(path: str) -> None:
         handle.seek(-1, os.SEEK_END)
         if handle.read(1) != b"\n":
             handle.write(b"\n")
+
+
+def sort_ledger(path: str, keys: Sequence[str]) -> None:
+    """Atomically rewrite a ledger with its rows in ``keys`` order.
+
+    The sort is stable, so one cell's attempts keep the order they ran
+    in; rows of unknown keys and undecodable lines go last, kept
+    verbatim.  Rows themselves are never re-serialized.
+    """
+    if not os.path.exists(path):
+        return
+    rank = {key: index for index, key in enumerate(keys)}
+
+    def position(line: str) -> int:
+        try:
+            return rank.get(json.loads(line).get("key"), len(rank))
+        except (ValueError, AttributeError, TypeError):
+            return len(rank)
+
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [
+            line.rstrip("\n") + "\n" for line in handle if line.strip()
+        ]
+    lines.sort(key=position)
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
 
 
 def load_records(path: str) -> Tuple[List[TaskRecord], int]:

@@ -692,9 +692,9 @@ def run_experiment(
         )
 
     # Cache-first path (repro.harness.cache): hits land in the ledger
-    # before any execution, misses run locally or on the daemon.
+    # before any execution, misses run locally.
     session = None
-    if config.store_dir or config.service_socket:
+    if config.store_dir:
         from .cache import ServiceSession
 
         session = ServiceSession(config)
@@ -706,9 +706,7 @@ def run_experiment(
             )
 
     if todo:
-        if session is not None and config.service_socket:
-            session.run_via_daemon(todo, ledger_file, emit)
-        elif config.jobs <= 1:
+        if config.jobs <= 1:
             _run_serial(
                 todo, config, fingerprint, ledger_file, run_dir, emit
             )
@@ -717,13 +715,20 @@ def run_experiment(
                 todo, config, fingerprint, ledger_file, run_dir, emit
             )
 
+    if session is not None:
+        # Hits land before misses and the pool appends rows as workers
+        # finish, while a warm replay of this run appends every row in
+        # canonical order: sort this ledger the same way so the two
+        # stay byte-identical at any --jobs.
+        ledger_mod.sort_ledger(ledger_file, [task.key for task in tasks])
+
     # Re-read the ledger: the file is the single source of truth the
     # report is assembled from (also exactly what resume would see).
     records, torn = ledger_mod.load_records(ledger_file)
 
     service_file = None
     if session is not None:
-        if todo and not config.service_socket:
+        if todo:
             stored = session.store_fresh(todo, records, fingerprint)
             if stored:
                 emit(f"[service] stored {stored} fresh cell(s)")

@@ -13,9 +13,8 @@ Every reporting CLI in this repository speaks the same dialect:
 * a ``BrokenPipeError``-tolerant entry point (``... | head`` must not
   produce a traceback).
 
-``repro.obs.search``, ``repro.obs.perf``, ``repro.obs.coverage``,
-``scripts/trace_summary.py`` and ``scripts/telemetry_summary.py`` all
-build on these helpers instead of re-implementing them.  This module
+``repro.obs.search``, ``repro.obs.perf``, ``repro.obs.coverage`` and
+``scripts/trace_summary.py`` all build on these helpers instead of re-implementing them.  This module
 must stay import-light (stdlib only): the scripts import it before any
 heavy subsystem, and :data:`LEDGER_NAME` deliberately mirrors
 ``repro.harness.ledger.LEDGER_NAME`` rather than importing the harness.

@@ -57,10 +57,9 @@ def read_jsonl(
     """Read any JSONL record stream; returns ``(records, dropped)``.
 
     With ``tolerant`` set, undecodable or non-object lines are dropped
-    and counted instead of raised — the telemetry event log must stay
-    readable after a daemon died mid-write (its torn tail is at most
-    one line).  Without it, a bad line raises like
-    :func:`read_trace_jsonl`.
+    and counted instead of raised — a run ledger must stay readable
+    after a worker died mid-write (its torn tail is at most one line).
+    Without it, a bad line raises like :func:`read_trace_jsonl`.
     """
     records: List[Dict[str, Any]] = []
     dropped = 0

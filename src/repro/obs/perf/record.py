@@ -31,6 +31,8 @@ import subprocess
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..export import read_jsonl
+
 #: Version of the PerfRecord/PerfSnapshot schema (bump on field changes).
 PERF_SCHEMA_VERSION = 1
 
@@ -208,17 +210,7 @@ def load_snapshot(path: str) -> PerfSnapshot:
 def load_ledger_rows(path: str) -> List[Dict[str, Any]]:
     """Tolerant JSONL read of a run ledger (torn lines skipped), same
     semantics as :func:`repro.harness.ledger.load_records`."""
-    rows: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                continue
-    return rows
+    return read_jsonl(path, tolerant=True)[0]
 
 
 def record_from_ledger_row(row: Dict[str, Any]) -> PerfRecord:

@@ -3,7 +3,7 @@
 Layout under one store root::
 
     objects/<key[:2]>/<key>.json    one envelope per cell key
-    quarantine/<key>.json           corrupt envelopes, moved aside
+    quarantine/<key>.<n>.json       corrupt envelopes, moved aside
 
 Each envelope wraps one successful
 :class:`~repro.harness.ledger.TaskRecord` together with an integrity
@@ -14,9 +14,10 @@ never observes a half-written envelope and a SIGKILL immediately after
 
 Corruption policy: an envelope that fails to decode, fails its
 integrity check, or records a different key than its filename is moved
-to ``quarantine/`` (never deleted — it is evidence) and the lookup
-reports a miss, so a damaged store degrades to recomputation instead
-of serving wrong science.
+to ``quarantine/`` under the first free ``<n>`` (never deleted or
+overwritten — it is evidence) and the lookup reports a miss, so a
+damaged store degrades to recomputation instead of serving wrong
+science.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class ResultStore:
             raise StoreError(f"malformed cell key {key!r}")
         return os.path.join(self.root, _OBJECTS, key[:2], key + ".json")
 
-    def _quarantine_path(self, key: str) -> str:
-        return os.path.join(self.root, _QUARANTINE, key + ".json")
+    def _quarantine_path(self, key: str, n: int = 0) -> str:
+        return os.path.join(self.root, _QUARANTINE, f"{key}.{n}.json")
 
     # -- write side ----------------------------------------------------
 
@@ -162,10 +163,12 @@ class ResultStore:
         return envelope.get("integrity") == _record_integrity(record_json)
 
     def _quarantine(self, key: str, path: str) -> None:
-        dest = self._quarantine_path(key)
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        os.makedirs(os.path.join(self.root, _QUARANTINE), exist_ok=True)
+        n = 0
+        while os.path.exists(self._quarantine_path(key, n)):
+            n += 1
         try:
-            os.replace(path, dest)
+            os.replace(path, self._quarantine_path(key, n))
         except FileNotFoundError:
             pass
 
@@ -186,18 +189,9 @@ class ResultStore:
 
     def stats(self) -> StoreStats:
         stats = StoreStats(root=self.root)
-        objects = os.path.join(self.root, _OBJECTS)
-        for shard in sorted(os.listdir(objects)):
-            shard_dir = os.path.join(objects, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.endswith(".json"):
-                    continue
-                stats.entries += 1
-                stats.bytes += os.path.getsize(
-                    os.path.join(shard_dir, name)
-                )
+        for key in self.keys():
+            stats.entries += 1
+            stats.bytes += os.path.getsize(self._object_path(key))
         quarantine = os.path.join(self.root, _QUARANTINE)
         if os.path.isdir(quarantine):
             stats.quarantined = sum(

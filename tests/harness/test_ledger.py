@@ -14,6 +14,7 @@ from repro.harness.ledger import (
     new_run_id,
     quarantined_keys,
     render_lint_summary,
+    sort_ledger,
     terminate_torn_tail,
 )
 
@@ -204,6 +205,26 @@ class TestLoadRecords:
         terminate_torn_tail(path)
         assert os.path.getsize(path) == size
         terminate_torn_tail(str(tmp_path / "missing.jsonl"))  # no raise
+
+
+class TestSortLedger:
+    def test_canonical_order_keeps_attempt_order_and_torn_lines(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "ledger.jsonl")
+        append_record(path, record(key="b", outcome="crashed"))
+        append_record(path, record(key="a"))
+        with open(path, "a") as handle:
+            handle.write('{"v":1,"key":"c","kin\n')  # torn, terminated
+        append_record(path, record(key="b", attempt=1))
+        sort_ledger(path, ["a", "b"])
+        records, torn = load_records(path)
+        assert [(r.key, r.attempt) for r in records] == [
+            ("a", 0), ("b", 0), ("b", 1)
+        ]
+        assert torn == 1
+        with open(path) as handle:
+            assert handle.read().endswith('"kin\n')
 
 
 class TestCompletion:

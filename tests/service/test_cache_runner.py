@@ -131,6 +131,32 @@ class TestColdWarm:
             assert row == reference
         assert cold_rows == {}
 
+    def test_partially_warm_ledger_matches_its_warm_replay(
+        self, tmp_path, tiny_run
+    ):
+        """Hits are appended before the misses are computed; the
+        finished ledger is still in canonical order, byte-identical to
+        the fully warm run that replays it."""
+        from repro.service import ResultStore
+
+        store = tmp_path / "store"
+        tiny_run("cold", store)
+        result_store = ResultStore(str(store))
+        (victim,) = [
+            key
+            for key in result_store.keys()
+            if result_store.get(key)["key"] == "table1"
+        ]
+        os.unlink(result_store._object_path(victim))
+
+        _, mixed_dir = tiny_run("mixed", store)
+        assert service_summary(mixed_dir)["cache_hits"] == NUM_CELLS - 1
+        _, warm_dir = tiny_run("warm", store)
+        assert service_summary(warm_dir)["cache_hits"] == NUM_CELLS
+        assert read(os.path.join(warm_dir, "ledger.jsonl")) == read(
+            os.path.join(mixed_dir, "ledger.jsonl")
+        )
+
     def test_distinct_science_does_not_cross_hit(self, tmp_path, tiny_run):
         """A config change lands on different cell keys: the warm store
         of one science must not serve another."""

@@ -130,6 +130,21 @@ class TestCorruption:
         # The original entry is untouched.
         assert store.get(KEY) == ok_record()
 
+    def test_repeated_corruption_keeps_all_evidence(self, tmp_path):
+        """A second corruption of one key must not overwrite the
+        first one's quarantined bytes."""
+        store = ResultStore(str(tmp_path))
+        for garbage in ("first garbage", "second garbage"):
+            store.put(KEY, ok_record())
+            self._corrupt(store, garbage)
+            assert store.get(KEY) is None
+        assert store.stats().quarantined == 2
+        evidence = []
+        for n in (0, 1):
+            with open(store._quarantine_path(KEY, n)) as handle:
+                evidence.append(handle.read())
+        assert evidence == ["first garbage", "second garbage"]
+
     def test_wrong_store_version_quarantines(self, tmp_path):
         store = ResultStore(str(tmp_path))
         path = store.put(KEY, ok_record())

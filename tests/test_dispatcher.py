@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 
-COMMANDS = ("run", "lint", "perf", "search", "fault-analysis", "service")
+COMMANDS = ("run", "lint", "perf", "search", "fault-analysis")
 
 
 def run_module(module, *args):
@@ -33,11 +33,6 @@ class TestDispatcher:
         assert "lint" in result.stdout
         # The new spelling carries no deprecation chatter.
         assert "deprecated" not in result.stderr
-
-    def test_service_command_reachable(self):
-        result = run_module("repro", "service", "--help")
-        assert result.returncode == 0
-        assert "serve" in result.stdout
 
     def test_unknown_command_fails_cleanly(self):
         result = run_module("repro", "frobnicate")
