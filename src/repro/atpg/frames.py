@@ -5,23 +5,39 @@ unrolled into identical combinational frames, frame ``f``'s register
 outputs fed by frame ``f-1``'s register D-inputs.  The single stuck-at
 fault is present in *every* frame (a permanent defect).
 
-:class:`UnrolledModel` keeps one compiled copy of the circuit and
-re-evaluates the window in five-valued D-calculus on demand.  Decision
-variables are the primary inputs of every frame and the frame-0 state
-(the machine state the ATPG will later have to justify); everything
-else is derived by simulation.
+:class:`UnrolledModel` evaluates the window in five-valued D-calculus
+on the circuit's compiled rail-code kernel
+(:class:`~repro.sim.compile.FiveValuedProgram`), one kernel call per
+frame, and keeps the frames it computed: a decision in frame ``f``
+cannot change an earlier frame, so the next :meth:`UnrolledModel.
+simulate` re-runs only from the earliest frame a mutation touched.
+Decision variables are the primary inputs of every frame and the
+frame-0 state (the machine state the ATPG will later have to justify);
+everything else is derived by simulation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import D, DBAR, ONE, X, ZERO, eval_gate5, five_join, five_split
-from ..circuit.graph import topological_order
+from ..circuit.gates import D, DBAR, ONE, X, ZERO
 from ..circuit.netlist import Circuit, NodeKind
 from ..errors import AtpgError
 from ..fault.model import Fault
+from ..sim.compile import (
+    RAIL_DECODE,
+    RAIL_OF_BIT,
+    RAIL_X,
+    CompiledProgram,
+    compiled_program_cached,
+)
+
+# Good-circuit ternary value of each five-valued literal, indexed by
+# the literal (a table lookup in place of ``five_split(v)[0]``).
+_GOOD = {ZERO: ZERO, ONE: ONE, X: X, D: ONE, DBAR: ZERO}
+GOOD_VALUE = tuple(_GOOD[literal] for literal in range(len(_GOOD)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,11 +49,79 @@ class Variable:
     position: int  # PI index or DFF index
 
 
+class SlotStructure:
+    """Slot-indexed netlist lookups for the PODEM search, built once per
+    compiled program (every fault's model of a circuit shares one)."""
+
+    def __init__(self, program: CompiledProgram):
+        circuit = program.circuit
+        index = program.index
+        nodes = [circuit.node(name) for name in program.order]
+        self.pi_position: Dict[int, int] = {
+            slot: position for position, slot in enumerate(program.input_slots)
+        }
+        self.dff_position: Dict[int, int] = {
+            slot: position
+            for position, slot in enumerate(program.dff_out_slots)
+        }
+        self.gate = [
+            node.gate if node.kind is NodeKind.GATE else None for node in nodes
+        ]
+        self.fanin: List[Tuple[int, ...]] = [
+            tuple(index[name] for name in node.fanin) for node in nodes
+        ]
+        fanouts = circuit.fanouts()
+        self.fanout: List[Tuple[int, ...]] = [
+            tuple(index[name] for name in fanouts[node.name]) for node in nodes
+        ]
+        # Static observability distances for objective heuristics:
+        # gate-count distance to the nearest PO, and to the nearest
+        # register D-input (a path into the next frame).
+        self.dist_po = self._reverse_distance(program.output_slots)
+        self.dist_dff = self._reverse_distance(program.dff_d_slots)
+
+    def _reverse_distance(self, targets: Sequence[int]) -> List[int]:
+        """Min gate-count distance from each node to any target node."""
+        INF = 10 ** 9
+        dist = [INF] * len(self.fanin)
+        worklist = []
+        for slot in dict.fromkeys(targets):
+            dist[slot] = 0
+            worklist.append(slot)
+        # Breadth-first over the reversed combinational graph.
+        while worklist:
+            next_list = []
+            for slot in worklist:
+                if slot in self.dff_position:
+                    continue  # distances are per-frame (combinational)
+                for fanin_slot in self.fanin[slot]:
+                    if dist[fanin_slot] > dist[slot] + 1:
+                        dist[fanin_slot] = dist[slot] + 1
+                        next_list.append(fanin_slot)
+            worklist = next_list
+        return dist
+
+
+_STRUCTURES: "weakref.WeakKeyDictionary[CompiledProgram, SlotStructure]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def slot_structure(program: CompiledProgram) -> SlotStructure:
+    structure = _STRUCTURES.get(program)
+    if structure is None:
+        structure = _STRUCTURES[program] = SlotStructure(program)
+    return structure
+
+
 class UnrolledModel:
     """Five-valued multi-frame evaluation engine for one fault.
 
     All value arrays are indexed by the compiled topological order; use
-    :meth:`index_of` to translate node names.
+    :meth:`index_of` to translate node names.  Mutate the decision
+    variables only through :meth:`assign`, :meth:`unassign`,
+    :meth:`set_frames` and :meth:`reset_assignments`: those are what
+    invalidate the frame cache.
     """
 
     def __init__(
@@ -46,134 +130,95 @@ class UnrolledModel:
         fault: Optional[Fault],
         max_frames: int,
     ):
-        circuit.check()
+        program = compiled_program_cached(circuit)
         self.circuit = circuit
         self.fault = fault
         self.max_frames = max_frames
-        self._order = topological_order(circuit)
-        self._index: Dict[str, int] = {
-            name: i for i, name in enumerate(self._order)
-        }
-        self._pi_index = [self._index[n] for n in circuit.inputs]
-        self._po_index = [self._index[n] for n in circuit.outputs]
-        self._dff_names = circuit.dff_names()
-        self._dff_out = [self._index[n] for n in self._dff_names]
-        self._dff_d = [
-            self._index[circuit.node(n).fanin[0]] for n in self._dff_names
-        ]
-        self._plan: List[Tuple[int, object, List[int]]] = []
-        for name in self._order:
-            node = circuit.node(name)
-            if node.kind is NodeKind.GATE:
-                self._plan.append(
-                    (
-                        self._index[name],
-                        node.gate,
-                        [self._index[f] for f in node.fanin],
-                    )
-                )
-        if fault is not None and fault.node not in self._index:
+        self.program = program
+        self.structure = slot_structure(program)
+        if fault is not None and fault.node not in program.index:
             raise AtpgError(f"fault site {fault.node!r} not in circuit")
         self._fault_index = (
-            self._index[fault.node] if fault is not None else -1
+            program.index[fault.node] if fault is not None else -1
         )
-        self._fault_value = fault.stuck_at if fault is not None else ZERO
+        five = program.five_valued
+        self._kernel = five.kernel
+        self._tables = five.slot_tables(
+            self._fault_index, fault.stuck_at if fault is not None else ZERO
+        )
+        # A PI or DFF-output fault site is injected as its source loads.
+        self._source_fault = (
+            self._fault_index
+            if self._fault_index in program.source_slots
+            else -1
+        )
+        self._dff_pairs = tuple(
+            zip(program.dff_out_slots, program.dff_d_slots)
+        )
 
         # Decision-variable assignments (ternary 0/1; absent = X).
         self.pi_assignment: Dict[Tuple[int, int], int] = {}
         self.state_assignment: Dict[int, int] = {}
         self.num_frames = 1
+        # Leading frames still valid for the current assignment: rail
+        # codes (fed forward to the next frame) and decoded literals
+        # (handed to callers, immutable).
+        self._rails: List[List[int]] = []
+        self._frames: List[bytes] = []
 
-        # Static observability distances for objective heuristics:
-        # gate-count distance to the nearest PO, and to the nearest
-        # register D-input (a path into the next frame).
-        self.dist_po = self._reverse_distance(set(circuit.outputs))
-        self.dist_dff = self._reverse_distance(
-            {circuit.node(n).fanin[0] for n in self._dff_names}
-        )
+        self.dist_po = self.structure.dist_po
+        self.dist_dff = self.structure.dist_dff
 
     # -- compiled lookups -------------------------------------------------
 
     @property
     def num_pis(self) -> int:
-        return len(self._pi_index)
+        return len(self.program.input_slots)
 
     @property
     def num_dffs(self) -> int:
-        return len(self._dff_out)
-
-    @property
-    def num_pos(self) -> int:
-        return len(self._po_index)
+        return len(self.program.dff_out_slots)
 
     @property
     def num_nodes(self) -> int:
-        return len(self._order)
+        return self.program.num_slots
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
-
-    def name_of(self, index: int) -> str:
-        return self._order[index]
-
-    def pi_indices(self) -> Sequence[int]:
-        return self._pi_index
+        return self.program.index[name]
 
     def po_indices(self) -> Sequence[int]:
-        return self._po_index
+        return self.program.output_slots
 
     def dff_out_indices(self) -> Sequence[int]:
-        return self._dff_out
+        return self.program.dff_out_slots
 
     def dff_d_indices(self) -> Sequence[int]:
-        return self._dff_d
-
-    def node_fanin(self, index: int) -> List[int]:
-        node = self.circuit.node(self._order[index])
-        return [self._index[f] for f in node.fanin]
-
-    def node_gate(self, index: int):
-        return self.circuit.node(self._order[index]).gate
-
-    def _reverse_distance(self, targets: Set[str]) -> List[int]:
-        """Min gate-count distance from each node to any target node."""
-        INF = 10 ** 9
-        dist = [INF] * len(self._order)
-        worklist = []
-        for name in targets:
-            if name in self._index:
-                dist[self._index[name]] = 0
-                worklist.append(self._index[name])
-        # Breadth-first over the reversed combinational graph.
-        while worklist:
-            next_list = []
-            for index in worklist:
-                node = self.circuit.node(self._order[index])
-                if node.kind is NodeKind.DFF:
-                    continue  # distances are per-frame (combinational)
-                for fanin_name in node.fanin:
-                    fanin_index = self._index[fanin_name]
-                    if dist[fanin_index] > dist[index] + 1:
-                        dist[fanin_index] = dist[index] + 1
-                        next_list.append(fanin_index)
-            worklist = next_list
-        return dist
+        return self.program.dff_d_slots
 
     # -- assignment management ----------------------------------------------
+
+    def _invalidate(self, frame: int) -> None:
+        """Drop the cached frames from ``frame`` on."""
+        del self._frames[frame:]
+        del self._rails[frame:]
 
     def assign(self, variable: Variable, value: int) -> None:
         if value not in (ZERO, ONE):
             raise AtpgError("decision values must be 0 or 1")
         if variable.kind == "pi":
             self.pi_assignment[(variable.frame, variable.position)] = value
+            self._invalidate(variable.frame)
         else:
             self.state_assignment[variable.position] = value
+            self._invalidate(0)
 
     def unassign(self, variable: Variable) -> None:
         if variable.kind == "pi":
             self.pi_assignment.pop((variable.frame, variable.position), None)
+            self._invalidate(variable.frame)
         else:
             self.state_assignment.pop(variable.position, None)
+            self._invalidate(0)
 
     def value_of(self, variable: Variable) -> Optional[int]:
         if variable.kind == "pi":
@@ -186,46 +231,40 @@ class UnrolledModel:
 
     # -- simulation ----------------------------------------------------------
 
-    def simulate(self) -> List[List[int]]:
+    def simulate(self) -> List[bytes]:
         """Evaluate all ``num_frames`` frames; returns five-valued value
-        arrays (``values[frame][node_index]``)."""
-        frames: List[List[int]] = []
-        previous_d: Optional[List[int]] = None
-        for frame in range(self.num_frames):
-            values = [X] * len(self._order)
-            for position, index in enumerate(self._pi_index):
-                assigned = self.pi_assignment.get((frame, position))
-                values[index] = X if assigned is None else assigned
-            if frame == 0:
-                for position, index in enumerate(self._dff_out):
-                    assigned = self.state_assignment.get(position)
-                    values[index] = X if assigned is None else assigned
-            else:
-                for position, index in enumerate(self._dff_out):
-                    values[index] = previous_d[position]
-            if self._fault_index >= 0:
-                self._apply_fault_at_source(values)
-            for out_index, gate, fanin_index in self._plan:
-                value = eval_gate5(
-                    gate, [values[i] for i in fanin_index]
-                )
-                if out_index == self._fault_index:
-                    good, _ = five_split(value)
-                    value = five_join(good, self._fault_value)
-                values[out_index] = value
-            frames.append(values)
-            previous_d = [values[i] for i in self._dff_d]
-        return frames
+        arrays (``values[frame][node_index]``).
 
-    def _apply_fault_at_source(self, values: List[int]) -> None:
-        """Inject the fault when its site is a PI or DFF output."""
-        index = self._fault_index
-        name = self._order[index]
-        node = self.circuit.node(name)
-        if node.kind is NodeKind.GATE:
-            return  # handled during plan evaluation
-        good, _ = five_split(values[index])
-        values[index] = five_join(good, self._fault_value)
+        Frames cached since the last mutation are reused, the rest are
+        recomputed forward.  The returned frames are shared with the
+        cache: read them, never write them (they are ``bytes``).
+        """
+        rails, frames = self._rails, self._frames
+        program = self.program
+        kernel, tables = self._kernel, self._tables
+        pi_assignment = self.pi_assignment
+        blank = [RAIL_X] * program.num_slots
+        for frame in range(len(frames), self.num_frames):
+            values = blank[:]
+            for position, slot in enumerate(program.input_slots):
+                assigned = pi_assignment.get((frame, position))
+                if assigned is not None:
+                    values[slot] = RAIL_OF_BIT[assigned]
+            if frame == 0:
+                dff_out = program.dff_out_slots
+                for position, assigned in self.state_assignment.items():
+                    values[dff_out[position]] = RAIL_OF_BIT[assigned]
+            else:
+                previous = rails[frame - 1]
+                for out_slot, d_slot in self._dff_pairs:
+                    values[out_slot] = previous[d_slot]
+            source = self._source_fault
+            if source >= 0:
+                values[source] = tables[source][values[source]]
+            kernel(values, tables)
+            rails.append(values)
+            frames.append(bytes(values).translate(RAIL_DECODE))
+        return frames[:]
 
     # -- window control ------------------------------------------------------
 
@@ -235,10 +274,14 @@ class UnrolledModel:
                 f"frame count {count} outside [1, {self.max_frames}]"
             )
         self.num_frames = count
-        # Drop PI assignments beyond the window.
+        # Drop PI assignments beyond the window; they only fed frames
+        # past it, so the frames inside stay valid.
         for key in [k for k in self.pi_assignment if k[0] >= count]:
             del self.pi_assignment[key]
+        self._invalidate(count)
 
     def reset_assignments(self) -> None:
         self.pi_assignment.clear()
         self.state_assignment.clear()
+        self._invalidate(0)
+

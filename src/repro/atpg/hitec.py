@@ -67,7 +67,7 @@ from ..obs.coverage import (
 from ..obs.search import NULL_SEARCH_OBSERVER, SearchObserver, StateClassifier
 from ..sim.logicsim import TernarySimulator
 from .._util import make_rng
-from .frames import UnrolledModel
+from .frames import UnrolledModel, Variable
 from .learning import IllegalStateCache, cube_key
 from .podem import FaultPodem, JustifyPodem, SearchMeter
 from .result import (
@@ -268,7 +268,7 @@ class Justifier:
                 return None
             model = self._probe_model()
             for position, value in enumerate(state):
-                model.state_assignment[position] = value
+                model.assign(Variable("state", 0, position), value)
             search = JustifyPodem(model, meter, cube)
             for solution in search.solutions():
                 return prefix + [self._fill(solution.pi_assignment)]

@@ -17,22 +17,22 @@ aborted-fault accounting hangs on.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import (
-    D,
-    DBAR,
-    GateType,
-    ONE,
-    X,
-    ZERO,
-    five_split,
-)
-from ..circuit.netlist import NodeKind
+from ..circuit.gates import D, DBAR, GateType, ONE, X, ZERO
 from ..errors import AtpgError
 from ..obs.coverage import ABORT_BACKTRACK_LIMIT, ABORT_TIME_BUDGET
-from .frames import UnrolledModel, Variable
+from .frames import GOOD_VALUE, UnrolledModel, Variable
 from .result import Stopwatch
+
+
+_FAULT_EFFECT = re.compile(b"[" + bytes((D, DBAR)) + b"]")
+
+
+def _fault_effect_slots(values: bytes) -> List[int]:
+    """Slots of one frame that carry D or D̄, ascending."""
+    return [match.start() for match in _FAULT_EFFECT.finditer(values)]
 
 
 class SearchMeter:
@@ -135,16 +135,16 @@ class _PodemBase:
 
     # -- subclass interface -------------------------------------------------
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
+    def goal_satisfied(self, frames: List[bytes]) -> bool:
         raise NotImplementedError
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
+    def goal_impossible(self, frames: List[bytes]) -> bool:
         """True when no extension of the current assignment can reach the
         goal (triggers a backtrack without wasting decisions)."""
         raise NotImplementedError
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: List[bytes]
     ) -> Optional[Tuple[int, int, int]]:
         """(frame, node_index, desired_value) to pursue next, or None if
         no objective can be formed (triggers a backtrack)."""
@@ -214,7 +214,7 @@ class _PodemBase:
     # -- backtrace ---------------------------------------------------------------
 
     def _backtrace(
-        self, frames: List[List[int]], objective: Tuple[int, int, int]
+        self, frames: List[bytes], objective: Tuple[int, int, int]
     ) -> Tuple[Optional[Variable], int]:
         """Walk an objective back to an unassigned decision variable.
 
@@ -222,36 +222,33 @@ class _PodemBase:
         reachable from any free variable (all X-paths blocked).
         """
         model = self.model
+        structure = model.structure
         frame, index, value = objective
         guard = 0
         while True:
             guard += 1
             if guard > 10000:
                 raise AtpgError("backtrace failed to terminate")
-            name = model.name_of(index)
-            node = model.circuit.node(name)
-            if node.kind is NodeKind.INPUT:
-                position = model.circuit.inputs.index(name)
+            position = structure.pi_position.get(index)
+            if position is not None:
                 variable = Variable("pi", frame, position)
                 if model.value_of(variable) is not None:
                     return None, 0
                 return variable, value
-            if node.kind is NodeKind.DFF:
+            position = structure.dff_position.get(index)
+            if position is not None:
                 if frame == 0:
-                    position = list(model.circuit.dff_names()).index(name)
                     variable = Variable("state", 0, position)
                     if model.value_of(variable) is not None:
                         return None, 0
                     return variable, value
                 frame -= 1
-                index = model.dff_d_indices()[
-                    list(model.circuit.dff_names()).index(name)
-                ]
+                index = model.dff_d_indices()[position]
                 continue
-            gate = node.gate
+            gate = structure.gate[index]
             if gate in (GateType.CONST0, GateType.CONST1):
                 return None, 0
-            fanin = model.node_fanin(index)
+            fanin = structure.fanin[index]
             values = frames[frame]
             if gate is GateType.BUF:
                 index = fanin[0]
@@ -268,7 +265,7 @@ class _PodemBase:
                 chosen = None
                 acc = 0
                 for input_index in fanin:
-                    good, _ = five_split(values[input_index])
+                    good = GOOD_VALUE[values[input_index]]
                     if good == X and chosen is None:
                         chosen = input_index
                     elif good in (ZERO, ONE):
@@ -291,11 +288,7 @@ class _PodemBase:
             else:  # OR / NOR
                 need = effective  # 1: one input 1; 0: all inputs 0
                 want_all = need == ZERO
-            x_inputs = [
-                i
-                for i in fanin
-                if five_split(values[i])[0] == X
-            ]
+            x_inputs = [i for i in fanin if GOOD_VALUE[values[i]] == X]
             if not x_inputs:
                 return None, 0
             if want_all:
@@ -329,16 +322,17 @@ class FaultPodem(_PodemBase):
         self._activation = (
             ONE if model.fault.stuck_at == ZERO else ZERO
         )
+        self._po_set = frozenset(model.po_indices())
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
+    def goal_satisfied(self, frames: List[bytes]) -> bool:
         for values in frames:
             for po_index in self.model.po_indices():
                 if values[po_index] in (D, DBAR):
                     return True
         return False
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
-        good0, _ = five_split(frames[0][self._fault_index])
+    def goal_impossible(self, frames: List[bytes]) -> bool:
+        good0 = GOOD_VALUE[frames[0][self._fault_index]]
         if good0 == X:
             return False  # excitation still open
         if good0 != self._activation:
@@ -347,102 +341,96 @@ class FaultPodem(_PodemBase):
         return not self._x_path_exists(frames)
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: List[bytes]
     ) -> Optional[Tuple[int, int, int]]:
-        good0, _ = five_split(frames[0][self._fault_index])
+        good0 = GOOD_VALUE[frames[0][self._fault_index]]
         if good0 == X:
             return (0, self._fault_index, self._activation)
-        frontier = self._d_frontier(frames)
-        if not frontier:
+        head = self._d_frontier_head(frames)
+        if head is None:
             return None
-        frame, gate_index = frontier[0]
+        frame, gate_index = head
         values = frames[frame]
-        gate = self.model.node_gate(gate_index)
-        noncontrolling = gate.noncontrolling_value()
-        for input_index in self.model.node_fanin(gate_index):
-            good, _ = five_split(values[input_index])
-            if good == X:
+        structure = self.model.structure
+        noncontrolling = structure.gate[gate_index].noncontrolling_value()
+        for input_index in structure.fanin[gate_index]:
+            if GOOD_VALUE[values[input_index]] == X:
                 target = (
                     noncontrolling if noncontrolling != X else ONE
                 )
                 return (frame, input_index, target)
         return None
 
-    def _d_frontier(
-        self, frames: List[List[int]]
-    ) -> List[Tuple[int, int]]:
-        """Gates with a D/D̄ input and an X output, best-first.
+    def _d_frontier_head(
+        self, frames: List[bytes]
+    ) -> Optional[Tuple[int, int]]:
+        """The best gate with a D/D̄ input and an X output, as
+        ``(frame, gate_index)``; None when the D-frontier is empty.
 
         Preference: smaller distance to a PO, then smaller distance to a
         register D-input (a route into the next frame), then later frame
-        (fault effects that already travelled far).
+        (fault effects that already travelled far), then topological
+        order.
         """
         model = self.model
-        frontier: List[Tuple[int, int]] = []
-        scores: Dict[Tuple[int, int], Tuple] = {}
+        structure = model.structure
+        best: Optional[Tuple] = None
         for frame, values in enumerate(frames):
-            for out_index, gate, fanin_index in model._plan:
-                if values[out_index] != X:
-                    continue
-                if not any(values[i] in (D, DBAR) for i in fanin_index):
-                    continue
-                key = (frame, out_index)
-                frontier.append(key)
-                room = model.max_frames - frame
-                scores[key] = (
-                    model.dist_po[out_index],
-                    model.dist_dff[out_index] if room > 1 else 10 ** 9,
-                    -frame,
-                )
-        frontier.sort(key=lambda k: scores[k])
-        return frontier
+            room = model.max_frames - frame
+            for index in _fault_effect_slots(values):
+                for reader in structure.fanout[index]:
+                    if structure.gate[reader] is None or values[reader] != X:
+                        continue
+                    key = (
+                        model.dist_po[reader],
+                        model.dist_dff[reader] if room > 1 else 10 ** 9,
+                        -frame,
+                        reader,
+                    )
+                    if best is None or key < best:
+                        best = key
+        if best is None:
+            return None
+        return -best[2], best[3]
 
-    def _x_path_exists(self, frames: List[List[int]]) -> bool:
+    def _x_path_exists(self, frames: List[bytes]) -> bool:
         """Can any D/D̄ still reach a PO through X-valued nodes, within
         the maximum window (frames beyond the current window count as
         fully X)?"""
         model = self.model
-        po_set = set(model.po_indices())
+        structure = model.structure
+        po_set = self._po_set
         # Seed: nodes carrying D in any simulated frame.
         reached: Set[Tuple[int, int]] = set()
         worklist: List[Tuple[int, int]] = []
         for frame, values in enumerate(frames):
-            for index, value in enumerate(values):
-                if value in (D, DBAR):
-                    if index in po_set:
-                        return True
-                    reached.add((frame, index))
-                    worklist.append((frame, index))
-        fanouts = model.circuit.fanouts()
-        dff_positions = {
-            name: pos
-            for pos, name in enumerate(model.circuit.dff_names())
-        }
+            for index in _fault_effect_slots(values):
+                if index in po_set:
+                    return True
+                reached.add((frame, index))
+                worklist.append((frame, index))
         while worklist:
             frame, index = worklist.pop()
-            name = model.name_of(index)
-            for reader in fanouts[name]:
-                reader_node = model.circuit.node(reader)
-                reader_index = model.index_of(reader)
-                if reader_node.kind is NodeKind.DFF:
+            for reader in structure.fanout[index]:
+                if reader in structure.dff_position:
                     next_frame = frame + 1
                     if next_frame >= model.max_frames:
                         continue
-                    key = (next_frame, reader_index)
+                    key = (next_frame, reader)
                     if key in reached:
                         continue
                     reached.add(key)
                     worklist.append(key)
-                    if reader in dff_positions and reader_index in po_set:
+                    if reader in po_set:
                         return True
                     continue
                 if frame < len(frames):
-                    value = frames[frame][reader_index]
+                    value = frames[frame][reader]
                     if value not in (X, D, DBAR):
                         continue  # blocked by a fixed value
-                if reader_index in po_set:
+                if reader in po_set:
                     return True
-                key = (frame, reader_index)
+                key = (frame, reader)
                 if key in reached:
                     continue
                 reached.add(key)
@@ -470,28 +458,26 @@ class JustifyPodem(_PodemBase):
             for position, value in sorted(self.required.items())
         ]
 
-    def goal_satisfied(self, frames: List[List[int]]) -> bool:
+    def goal_satisfied(self, frames: List[bytes]) -> bool:
         values = frames[0]
         for index, value in self._targets:
-            good, _ = five_split(values[index])
-            if good != value:
+            if GOOD_VALUE[values[index]] != value:
                 return False
         return True
 
-    def goal_impossible(self, frames: List[List[int]]) -> bool:
+    def goal_impossible(self, frames: List[bytes]) -> bool:
         values = frames[0]
         for index, value in self._targets:
-            good, _ = five_split(values[index])
+            good = GOOD_VALUE[values[index]]
             if good != X and good != value:
                 return True
         return False
 
     def next_objective(
-        self, frames: List[List[int]]
+        self, frames: List[bytes]
     ) -> Optional[Tuple[int, int, int]]:
         values = frames[0]
         for index, value in self._targets:
-            good, _ = five_split(values[index])
-            if good == X:
+            if GOOD_VALUE[values[index]] == X:
                 return (0, index, value)
         return None

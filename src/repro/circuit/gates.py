@@ -8,9 +8,12 @@ Two value systems are provided:
   any input decides the output even when other inputs are unknown.
 
 * **Five-valued D-calculus** (``ZERO``, ``ONE``, ``X``, ``D``, ``DBAR``)
-  — used by the PODEM-based ATPG engines.  ``D`` encodes "1 in the good
-  circuit, 0 in the faulty circuit"; ``DBAR`` the opposite.  The tables
-  follow Roth's D-algorithm convention.
+  — the values of the PODEM-based ATPG engines.  ``D`` encodes "1 in
+  the good circuit, 0 in the faulty circuit"; ``DBAR`` the opposite.
+  The tables follow Roth's D-algorithm convention.  The engines evaluate
+  it through a compiled rail-code kernel
+  (:class:`repro.sim.compile.FiveValuedProgram`); the scalar functions
+  here define the semantics that kernel is tested against.
 
 Gate evaluation is table-driven: each :class:`GateType` owns a reduction
 over the ternary or five-valued domain, so adding a gate type means

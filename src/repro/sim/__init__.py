@@ -1,8 +1,10 @@
-"""Logic simulation substrates: ternary compiled simulation and 64-way
-bit-parallel two-valued simulation on compiled word-op kernels."""
+"""Logic simulation substrates: ternary compiled simulation, 64-way
+bit-parallel two-valued simulation on compiled word-op kernels, and the
+five-valued rail-code kernel behind the ATPG implication loop."""
 
 from .compile import (
     CompiledProgram,
+    FiveValuedProgram,
     TernaryWordProgram,
     clear_program_cache,
     compile_plan,
@@ -22,6 +24,7 @@ from .parallel import (
 __all__ = [
     "BoundStepper",
     "CompiledProgram",
+    "FiveValuedProgram",
     "ParallelSimulator",
     "SimTrace",
     "TernarySimulator",

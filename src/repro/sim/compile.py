@@ -36,6 +36,12 @@ signal owns two adjacent word slots (a "could be 0" rail and a "could
 be 1" rail; neither set means X), so :class:`~repro.sim.logicsim.
 TernarySimulator` consumers can migrate to word-parallel ternary
 simulation without a third value system.
+
+A four-bit rail code (:class:`FiveValuedProgram`) carries the ATPG
+engines' five-valued D-calculus through the same plan: one kernel per
+circuit evaluates one time frame of the iterative-array model, with a
+per-slot collapse table standing in for the masked kernel's keep/force
+pair.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from __future__ import annotations
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..circuit.gates import ONE, X, ZERO, GateType
+from ..circuit.gates import D, DBAR, ONE, X, ZERO, GateType
 from ..circuit.graph import topological_order
 from ..circuit.netlist import Circuit, NodeKind
 from ..errors import SimulationError
@@ -194,6 +200,15 @@ class CompiledProgram:
         # built per fault batch, never recompiled.
         self.kernel = self._compile_kernel(masked=False)
         self.masked_kernel = self._compile_kernel(masked=True)
+        self._five_valued: Optional["FiveValuedProgram"] = None
+
+    @property
+    def five_valued(self) -> "FiveValuedProgram":
+        """The five-valued rail-code kernel, generated on first use (only
+        the structural ATPG engines need it)."""
+        if self._five_valued is None:
+            self._five_valued = FiveValuedProgram(self)
+        return self._five_valued
 
     # -- generated kernels -------------------------------------------------
 
@@ -553,3 +568,150 @@ class TernaryWordProgram:
         po_pairs = [pairs[slot] for slot in program.output_slots]
         next_state = [pairs[slot] for slot in program.dff_d_slots]
         return po_pairs, next_state
+
+
+# --------------------------------------------------------------------------
+# Five-valued rail code.
+# --------------------------------------------------------------------------
+
+# One small int per signal, four rails: bit 0 "good is 1", bit 1 "good
+# can be 1", bit 2 "faulty is 1", bit 3 "faulty can be 1".  Each lane is
+# an interval (0 = 00, X = 10, 1 = 11), so AND and OR are plain ``&``
+# and ``|`` over the whole code, and inversion (swap the rails, negate
+# them) is a table lookup.  D is good 1 / faulty 0.
+RAIL_ZERO = 0
+RAIL_X = 10
+RAIL_ONE = 15
+RAIL_D = 3
+RAIL_DBAR = 12
+_LANE_X = 2
+
+
+def _collapse(code: int) -> int:
+    """:func:`~repro.circuit.gates.five_join` on a rail code: a pair
+    with an unknown side (good 1 / faulty X, say) becomes X."""
+    return RAIL_X if _LANE_X in (code & 3, code >> 2) else code
+
+
+def _invert(code: int) -> int:
+    flipped = ~code & 15
+    return (flipped & 5) << 1 | (flipped & 10) >> 1
+
+
+COLLAPSE: Tuple[int, ...] = tuple(_collapse(code) for code in range(16))
+COLLAPSE_INVERTED: Tuple[int, ...] = tuple(
+    COLLAPSE[_invert(code)] for code in range(16)
+)
+_INVERTING = frozenset((OP_NOT, OP_NAND, OP_NOR, OP_XNOR))
+
+
+def stuck_at_table(stuck_at: int, inverted: bool = False) -> Tuple[int, ...]:
+    """The table of a fault site: invert if the gate does, collapse,
+    keep the good rails, force the faulty rails to ``stuck_at``,
+    collapse again.
+
+    Collapsing first matters when the site's own fanin carries a fault
+    effect (through a register from an earlier frame): a raw
+    good 0 / faulty X value must turn X, as the scalar path's
+    ``five_join(good(eval_gate5(...)), stuck_at)`` does, not D-bar.
+    """
+    force = 0 if stuck_at == ZERO else 12
+    before = COLLAPSE_INVERTED if inverted else COLLAPSE
+    return tuple(COLLAPSE[(before[code] & 3) | force] for code in range(16))
+
+
+# Rail code of a decision value (ZERO=0, ONE=1), and the byte table that
+# turns a frame of rail codes into five-valued literals.
+RAIL_OF_BIT = (RAIL_ZERO, RAIL_ONE)
+_LITERAL = {RAIL_X: X, RAIL_ZERO: ZERO, RAIL_ONE: ONE, RAIL_D: D, RAIL_DBAR: DBAR}
+RAIL_DECODE = bytes(_LITERAL.get(code, X) for code in range(256))
+
+
+def _five_lines(
+    opcode: int, out_slot: int, in_slots: Tuple[int, ...]
+) -> List[str]:
+    """Generated rail-code lines for one gate.
+
+    The expression computes the good and faulty lanes side by side
+    without inversion; the slot's table ``T[o]`` inverts (for NOT, NAND,
+    NOR, XNOR), collapses and, at a fault site, injects the fault.
+    """
+    refs = [f"V[{slot}]" for slot in in_slots]
+    lines = []
+    if opcode == OP_CONST0:
+        expr = str(RAIL_ZERO)
+    elif opcode == OP_CONST1:
+        expr = str(RAIL_ONE)
+    elif opcode in (OP_BUF, OP_NOT):
+        expr = refs[0]
+    elif opcode in (OP_AND, OP_NAND):
+        expr = " & ".join(refs)
+    elif opcode in (OP_OR, OP_NOR):
+        expr = " | ".join(refs)
+    elif opcode in (OP_XOR, OP_XNOR):
+        # t: lanes where every input is known (is 1, or cannot be 1);
+        # u: parity of the "is 1" rails.  Known lanes read 00 or 11,
+        # unknown ones 10.
+        known = " & ".join(f"({r} | ~{r} >> 1)" for r in refs)
+        lines = [f"    t = {known} & 5", f"    u = {' ^ '.join(refs)}"]
+        expr = "t & u | ((~t | u) & 5) << 1"
+    else:
+        raise SimulationError(f"unknown opcode {opcode}")
+    return lines + [f"    V[{out_slot}] = T[{out_slot}][{expr}]"]
+
+
+class FiveValuedProgram:
+    """One time frame of five-valued D-calculus as a generated kernel.
+
+    ``kernel(V, T)`` evaluates every gate of the plan in place over a
+    value array of rail codes whose source slots (PIs, DFF outputs) are
+    already loaded.  ``T`` holds one 16-entry table per slot:
+    :data:`COLLAPSE` (or :data:`COLLAPSE_INVERTED` for an inverting
+    gate) everywhere except a fault site, which gets
+    :func:`stuck_at_table` — so one kernel serves the fault-free model
+    and every single stuck-at fault of the circuit.
+    """
+
+    def __init__(self, program: CompiledProgram):
+        # No reference back to the program: it owns this object, and a
+        # cycle would keep every dropped circuit's kernels alive until
+        # the next full garbage collection.
+        self.plan = program.plan
+        self._inverted = [False] * program.num_slots
+        for opcode, out_slot, _ in program.plan:
+            self._inverted[out_slot] = opcode in _INVERTING
+        self._tables = [
+            COLLAPSE_INVERTED if inverted else COLLAPSE
+            for inverted in self._inverted
+        ]
+        namespace: Dict[str, object] = {}
+        exec(  # noqa: S102 - source generated from the plan above
+            compile(
+                self.render_source(),
+                f"<five-valued:{program.circuit.name}>",
+                "exec",
+            ),
+            namespace,
+        )
+        # Popped, so the function and its globals dict form no cycle.
+        self.kernel: Callable = namespace.pop("_five_valued_kernel")
+
+    def render_source(self) -> str:
+        lines = ["def _five_valued_kernel(V, T):"]
+        for opcode, out_slot, in_slots in self.plan:
+            lines.extend(_five_lines(opcode, out_slot, in_slots))
+        if len(lines) == 1:
+            lines.append("    pass")
+        return "\n".join(lines) + "\n"
+
+    def slot_tables(
+        self, fault_slot: int = -1, stuck_at: int = ZERO
+    ) -> List[Tuple[int, ...]]:
+        """The ``T`` argument for one model: the gate tables, with the
+        fault site's (if any) replaced by its stuck-at table."""
+        tables = self._tables[:]
+        if fault_slot >= 0:
+            tables[fault_slot] = stuck_at_table(
+                stuck_at, self._inverted[fault_slot]
+            )
+        return tables

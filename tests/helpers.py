@@ -1,8 +1,17 @@
-"""Shared test helpers: deterministic random circuit generation and
-simulation-based functional comparison."""
+"""Shared test helpers: deterministic random circuit generation,
+simulation-based functional comparison, and the scalar five-valued
+reference for the iterative-array model."""
 
 from repro._util import make_rng
-from repro.circuit import CircuitBuilder, GateType
+from repro.circuit import (
+    X,
+    ZERO,
+    CircuitBuilder,
+    GateType,
+    eval_gate5,
+    five_join,
+    five_split,
+)
 from repro.sim import TernarySimulator
 
 
@@ -49,3 +58,44 @@ def sequences_match(left, right, seed=0, num_sequences=8, length=20):
             if po_l != po_r:
                 return False
     return True
+
+
+def reference_frames(model):
+    """Scalar twin of :meth:`UnrolledModel.simulate`: every frame of the
+    model's window evaluated gate by gate through
+    :func:`~repro.circuit.gates.eval_gate5`, from scratch.
+
+    The differential oracle and the kernel microbenchmark compare the
+    compiled, cached path against it; no engine calls it.
+    """
+    program = model.program
+    structure = model.structure
+    fault = model.fault
+    fault_index = model.index_of(fault.node) if fault is not None else -1
+    fault_value = fault.stuck_at if fault is not None else ZERO
+
+    def inject(value):
+        good, _ = five_split(value)
+        return five_join(good, fault_value)
+
+    frames = []
+    for frame in range(model.num_frames):
+        values = [X] * program.num_slots
+        for position, slot in enumerate(program.input_slots):
+            values[slot] = model.pi_assignment.get((frame, position), X)
+        for position, slot in enumerate(program.dff_out_slots):
+            if frame == 0:
+                values[slot] = model.state_assignment.get(position, X)
+            else:
+                values[slot] = frames[-1][program.dff_d_slots[position]]
+        if fault_index in program.source_slots:
+            values[fault_index] = inject(values[fault_index])
+        for _, out_slot, in_slots in program.plan:
+            value = eval_gate5(
+                structure.gate[out_slot], [values[i] for i in in_slots]
+            )
+            values[out_slot] = (
+                inject(value) if out_slot == fault_index else value
+            )
+        frames.append(values)
+    return frames

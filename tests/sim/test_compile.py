@@ -125,8 +125,11 @@ class TestProgramCache:
 
     def test_clear_program_cache(self, two_bit_counter):
         first = compiled_program_cached(two_bit_counter)
+        assert first.five_valued is first.five_valued  # built once, lazily
         clear_program_cache()
-        assert compiled_program_cached(two_bit_counter) is not first
+        second = compiled_program_cached(two_bit_counter)
+        assert second is not first
+        assert second.five_valued is not first.five_valued
 
 
 class TestTernaryPacking:
@@ -206,6 +209,7 @@ for op in program.plan:
     print(op)
 print(program.render_source(), end="")
 print(program.render_source(masked=True), end="")
+print(program.five_valued.render_source(), end="")
 registry = MetricsRegistry()
 sim = ParallelSimulator(circuit, metrics=registry)
 mask = (1 << 8) - 1
